@@ -985,7 +985,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return _finish_profiled(args, profiler)
 
     kwargs = dict(benchmarks=args.benchmarks,
-                  instructions=args.instructions, warmup=args.warmup)
+                  instructions=args.instructions, warmup=args.warmup,
+                  seed=args.seed)
     if command == "figure3":
         print(render_figure3(run_figure3(runner, **kwargs)))
     elif command == "table3":

@@ -164,8 +164,7 @@ class EventProcessor(ClusteredProcessor):
             self._dispatch(cycle)
         if fetch._redirect_seq is None and cycle >= fetch._resume_cycle:
             fetch.tick(cycle)
-        if (net._active or net._fast_active or net._pending_kills
-                or net._retries):
+        if net._fast_active or net._pending_kills or net._retries:
             net.tick(cycle)
         self.stats.cycles += 1
         self.cycle = cycle + 1
@@ -189,6 +188,10 @@ class EventProcessor(ClusteredProcessor):
                     f"{self.cycle}; rob={len(rob)}, "
                     f"head={rob[0] if rob else None}"
                 )
+            if stats.committed >= target_committed:
+                # Done: an idle-skip now would charge cycles past the
+                # step that reached the target.
+                break
             # Idle-skip: if no stage can make progress next cycle, jump
             # straight to the next cycle holding pending work.  Every
             # check is conservative -- any doubt means "step normally".
@@ -196,7 +199,7 @@ class EventProcessor(ClusteredProcessor):
                 continue
             if fetch._redirect_seq is None and self.cycle >= fetch._resume_cycle:
                 continue
-            if net._active or net._fast_active:
+            if net._fast_active:
                 continue
             if rob:
                 head = rob[0]

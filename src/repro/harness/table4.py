@@ -11,7 +11,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..core.models import MODEL_NAMES
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+from ..core.simulation import (
+    DEFAULT_INSTRUCTIONS,
+    DEFAULT_SEED,
+    DEFAULT_WARMUP,
+)
 from .formatting import render_table
 from .paperdata import PAPER_TABLE4
 from .runner import ExperimentRunner
@@ -23,11 +27,12 @@ def run_table4(runner: Optional[ExperimentRunner] = None,
                models: Sequence[str] = MODEL_NAMES,
                instructions: int = DEFAULT_INSTRUCTIONS,
                warmup: int = DEFAULT_WARMUP,
-               workers: Optional[int] = None) -> TableResult:
+               workers: Optional[int] = None,
+               seed: int = DEFAULT_SEED) -> TableResult:
     """Regenerate Table 4 (16 clusters, hierarchical interconnect)."""
     return run_table3(runner=runner, benchmarks=benchmarks, models=models,
                       num_clusters=16, instructions=instructions,
-                      warmup=warmup, workers=workers)
+                      warmup=warmup, workers=workers, seed=seed)
 
 
 def render_table4(result: TableResult, include_paper: bool = True) -> str:

@@ -1,7 +1,15 @@
-"""Batched-accounting network for the event-driven core.
+"""Fast-state network for the event-driven core.
 
-Two changes over the scalar :class:`Network`, both invisible to the
+Three changes over the scalar :class:`Network`, all invisible to the
 reproduced numbers:
+
+* **Per-(channel, plane) arbitration state.**  Queues, budgets and
+  grant counters live on :class:`_Chan` objects reached through a
+  memoized per-(src, dst) :class:`_Route`, instead of dictionaries
+  keyed by ``(channel, WireClass)`` tuples.  Every run takes this path:
+  plane kills, NACK/retransmission, bit-error corruption, latency
+  derates, power gating and telemetry are handled on it by the scalar
+  network's own helpers, called in the scalar order.
 
 * **Batched grant accounting.**  Instead of touching ``by_plane`` /
   ``by_kind`` dictionaries on every grant, :class:`BatchedStats` tallies
@@ -23,6 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..telemetry import EventKind
 from ..wires import WireClass
 from .errors import ConfigError
 from .fastselect import CachingWireSelector
@@ -41,13 +50,17 @@ for _i, _wc in enumerate(WireClass):
     _wc._fast_idx = _i
 del _i, _wc
 
+#: Capacity of a killed (channel, plane): every budget check fails.
+_DEAD = -1
+
 
 class _Route:
     """Memoized per-(src, dst) routing state for the fast submit path.
 
     ``by_plane[wire_class._fast_idx]`` is ``None`` when the link has no
-    such plane, else ``(latency, chan, peers)`` where ``latency`` may be
-    ``None`` (missing from the topology -- raises like the scalar path),
+    such plane, else ``(latency, chan, peers)``.  ``latency`` already
+    carries the fault injector's derate, or is ``None`` when the
+    topology has none for the plane (raises like the scalar path);
     ``chan`` arbitrates the first hop and ``peers`` lists every hop's
     :class:`_Chan` for multi-hop paths (``None`` on single-hop ones).
     """
@@ -105,7 +118,6 @@ class BatchedStats(InterconnectStats):
         tally = self._tally
         if not tally:
             return self
-        self._tally = {}
         batch = InterconnectStats()
         by_plane = batch.by_plane
         by_kind = batch.by_kind
@@ -117,6 +129,9 @@ class BatchedStats(InterconnectStats):
             activity.bits += count * bits
             activity.weighted_bits += count * bits * weight
             by_kind[kind] = by_kind.get(kind, 0) + count
+        # Cleared in place: the network's tick holds the dict across a
+        # grant loop that a power transition may flush mid-way.
+        tally.clear()
         self.merge(batch)
         return self
 
@@ -134,7 +149,15 @@ class BatchedStats(InterconnectStats):
 
 
 class BatchedNetwork(Network):
-    """Scalar network with batched stats and pooled-transfer delivery."""
+    """Scalar network semantics on per-(channel, plane) fast state.
+
+    Every run of the event engine -- healthy, traced, fault-injected or
+    power-gated -- arbitrates on :class:`_Chan` queues.  The fault,
+    gating and telemetry decisions reuse the scalar helpers
+    (``_activate_kills``, ``_reroute``, ``_process_retries``,
+    ``route_avoid``...) and happen in the scalar order, so the results
+    stay bit-exact with :class:`Network`.
+    """
 
     SELECTOR_CLS = CachingWireSelector
 
@@ -152,8 +175,6 @@ class BatchedNetwork(Network):
         self._partial_handlers: Dict[TransferKind, Handler] = {}
         #: Free list fully-delivered pooled transfers return to.
         self._pool: Optional[List[Transfer]] = None
-        self._counting = False
-        self._count = 0
         #: Recycled queue items (a delivery is a _Queued's last act).
         self._qpool: List[_Queued] = []
         #: Memoized per-(src, dst) routing state.
@@ -161,49 +182,41 @@ class BatchedNetwork(Network):
         self._planes = frozenset(
             w for w in WireClass if self.composition.has_plane(w)
         )
-        #: Healthy-mode arbitration state.  A run is either entirely
-        #: fast (no injector, telemetry off) or entirely scalar-path
-        #: (both submit and tick fall back together), so the two queue
-        #: representations never mix within a run.
+        #: Arbitration state; replaces the scalar ``_queues``/``_active``.
         self._chans: Dict[Tuple[str, WireClass], _Chan] = {}
         self._fast_active: set = set()
         self._peer_cache: Dict[Tuple[Tuple[str, ...], WireClass],
                                List[_Chan]] = {}
 
-    # -- pooled submission -------------------------------------------------
+    # -- submission ----------------------------------------------------------
 
     def submit(self, transfer: Transfer, cycle: int) -> None:
-        if (self._pending_kills or self._dead or self.injector is not None
-                or self.power is not None or self.telemetry.enabled):
-            # Degraded, fault-injected, power-gated or traced runs take
-            # the scalar submission path verbatim (counting segments
-            # for pooling).
-            if getattr(transfer, "_pooled", False):
-                self._counting = True
-                self._count = 0
-                try:
-                    super().submit(transfer, cycle)
-                finally:
-                    self._counting = False
-                transfer._segs_left = self._count
-            else:
-                super().submit(transfer, cycle)
-            return
-        # Healthy fast path: memoized route, pooled queue items, no
-        # per-segment telemetry checks.
         src = transfer.src
         dst = transfer.dst
         route = self._routes.get((src, dst))
         if route is None:
             route = self._route(src, dst)
+        channels = route.channels
         selector = self.selector
-        segments = selector.select(transfer, cycle, avoid=_NO_AVOID)
+        # The avoid set, built exactly as Network.submit builds it.
+        avoid = _NO_AVOID
+        if self._pending_kills:
+            self._activate_kills(cycle)
+        if self._dead:
+            avoid = self._dead_planes_on(channels)
+        power = self.power
+        if power is not None:
+            avoid = power.route_avoid(channels, cycle,
+                                      selector.demand_planes(transfer),
+                                      avoid)
+        segments = selector.select(transfer, cycle, avoid=avoid)
         if len(segments) > 1:
             self.stats.split_transfers += 1
-        channels = route.channels
         latencies = route.latencies
         energy_weight = route.energy_weight
         by_plane = route.by_plane
+        tel = self.telemetry
+        traced = tel.enabled
         qpool = self._qpool
         active = self._fast_active
         count = 0
@@ -219,6 +232,18 @@ class BatchedNetwork(Network):
                 )
             latency, chan, peers = entry
             selector.record_injection(cycle, wire_class)
+            if power is not None:
+                power.note_activity(channels, wire_class, cycle)
+            if traced:
+                tel.count("network.segments_routed")
+                tel.emit(cycle, EventKind.TRANSFER_ROUTED, {
+                    "kind": transfer.kind.value,
+                    "plane": wire_class.value,
+                    "bits": segment.bits,
+                    "src": src,
+                    "dst": dst,
+                    "channel": channels[0],
+                })
             if latency is None:
                 self._plane_latency(transfer, latencies, wire_class)
             if qpool:
@@ -241,6 +266,7 @@ class BatchedNetwork(Network):
                     energy_weight=energy_weight,
                     earliest_cycle=cycle + segment.submit_delay,
                 )
+            # Inlined _enqueue: the route already resolved chan/peers.
             item.peers = peers
             chan.queue.append(item)
             active.add(chan)
@@ -248,12 +274,23 @@ class BatchedNetwork(Network):
         if getattr(transfer, "_pooled", False):
             transfer._segs_left = count
 
-    def _enqueue(self, key, item) -> None:
-        if self._counting:
-            self._count += 1
-        super()._enqueue(key, item)
+    def _enqueue(self, key: Tuple[str, WireClass], item: _Queued) -> None:
+        """Queue a rerouted or retransmitted segment on its channel."""
+        chan = self._chans.get(key)
+        if chan is None:
+            chan = self._chan(key)
+        channels = item.path_channels
+        item.peers = (self._peers(channels, key[1])
+                      if len(channels) > 1 else None)
+        chan.queue.append(item)
+        self._fast_active.add(chan)
 
-    # -- arbitration -------------------------------------------------------
+    # -- routing state -------------------------------------------------------
+
+    def _chan(self, key: Tuple[str, WireClass]) -> _Chan:
+        capacity = _DEAD if key in self._dead else self._capacity(key)
+        chan = self._chans[key] = _Chan(key, capacity)
+        return chan
 
     def _route(self, src: str, dst: str) -> _Route:
         """Build and memoize the fast routing state for one (src, dst)."""
@@ -266,17 +303,20 @@ class BatchedNetwork(Network):
         multi = len(channels) > 1
         chans = self._chans
         planes = self._planes
+        injector = self.injector
         for wire_class in WireClass:
             if wire_class not in planes:
                 continue
             key = (channels[0], wire_class)
             chan = chans.get(key)
             if chan is None:
-                chan = chans[key] = _Chan(key, self._capacity(key))
+                chan = self._chan(key)
+            latency = latencies.get(wire_class)
+            if latency is not None and injector is not None:
+                # Derates are per-plane constants: scale once per route.
+                latency = injector.scaled_latency(wire_class, latency)
             peers = self._peers(channels, wire_class) if multi else None
-            by_plane[wire_class._fast_idx] = (
-                latencies.get(wire_class), chan, peers
-            )
+            by_plane[wire_class._fast_idx] = (latency, chan, peers)
         self._routes[(src, dst)] = route
         return route
 
@@ -292,25 +332,65 @@ class BatchedNetwork(Network):
                 key = (channel, plane)
                 chan = chans.get(key)
                 if chan is None:
-                    chan = chans[key] = _Chan(key, self._capacity(key))
+                    chan = self._chan(key)
                 peers.append(chan)
             self._peer_cache[pkey] = peers
         return peers
 
+    # -- faults --------------------------------------------------------------
+
+    def _kill(self, channel: str, plane: WireClass, cycle: int) -> None:
+        super()._kill(channel, plane, cycle)
+        chan = self._chans.get((channel, plane))
+        if chan is not None:
+            chan.capacity = _DEAD
+
+    def _nack(self, item: _Queued, plane: WireClass, cycle: int) -> None:
+        """Schedule a corrupted segment's retransmission after a round
+        trip (the corruption branch of ``Network._grant``)."""
+        self.stats.corrupted_segments += 1
+        tel = self.telemetry
+        if tel.enabled:
+            tel.count("faults.corrupted_segments")
+            tel.emit(cycle, EventKind.CORRUPTION, {
+                "kind": item.transfer.kind.value,
+                "plane": plane.value,
+                "seq": item.transfer.seq,
+                "attempt": item.attempt,
+            })
+        self._retry_seq += 1
+        heapq.heappush(
+            self._retries,
+            (cycle + 2 * item.latency + 1, self._retry_seq, item),
+        )
+
+    # -- arbitration ---------------------------------------------------------
+
     def tick(self, cycle: int) -> None:
-        if (self._pending_kills or self._retries or self._dead
-                or self._ber_active or self.injector is not None
-                or self.power is not None or self.telemetry.enabled):
-            super().tick(cycle)
-            return
+        if self._pending_kills:
+            self._activate_kills(cycle)
+        if self._retries:
+            self._process_retries(cycle)
         active = self._fast_active
         if not active:
             return
+        # Mode flags, hoisted.  Dead planes cost nothing per grant: a
+        # dead channel has negative capacity, so a segment crossing one
+        # always fails its budget check, and only that failure path
+        # asks whether to reroute.
+        faulty = bool(self._dead)
+        tel = self.telemetry
+        traced = tel.enabled
+        ber = self._ber_active
+        extras = traced or ber
+        injector = self.injector
         stats = self.stats
         deliveries = self._deliveries
         tally = stats._tally
         granted_any = False
         drained = None
+        # A snapshot, as in the scalar tick: a segment rerouted onto a
+        # later channel of it is granted in this same cycle.
         order = (sorted(active, key=_chan_order)
                  if len(active) > 1 else tuple(active))
         for chan in order:
@@ -331,6 +411,10 @@ class BatchedNetwork(Network):
                 peers = item.peers
                 if peers is None:
                     if budget + bits > capacity:
+                        if faulty and self._blocked_by_kill(item, plane):
+                            head += 1
+                            self._reroute(item, cycle)
+                            continue
                         break
                     budget += bits
                     chan.grants += 1
@@ -346,6 +430,10 @@ class BatchedNetwork(Network):
                             blocked = True
                             break
                     if blocked:
+                        if faulty and self._blocked_by_kill(item, plane):
+                            head += 1
+                            self._reroute(item, cycle)
+                            continue
                         break
                     for peer in peers:
                         peer.budget += bits
@@ -356,12 +444,26 @@ class BatchedNetwork(Network):
                 tkey = (plane, bits, item.energy_weight,
                         item.transfer.kind)
                 tally[tkey] = tally.get(tkey, 0) + 1
+                head += 1
+                if extras:
+                    if traced:
+                        tel.observe("network.segment_bits", bits,
+                                    self.SEGMENT_BITS_BUCKETS)
+                        tel.observe("network.grant_wait_cycles",
+                                    max(0, cycle - item.earliest_cycle),
+                                    self.GRANT_WAIT_BUCKETS)
+                    if ber and injector.corrupts(
+                            plane, item.transfer.kind.value,
+                            item.transfer.seq, bits,
+                            len(item.path_channels), item.attempt,
+                            item.segment.is_leading_slice):
+                        self._nack(item, plane, cycle)
+                        continue
                 self._delivery_seq += 1
                 heapq.heappush(
                     deliveries,
                     (cycle + item.latency, self._delivery_seq, item),
                 )
-                head += 1
             chan.budget = budget
             stats.buffered_cycles += length - head
             if head >= length:
@@ -386,8 +488,8 @@ class BatchedNetwork(Network):
     # -- reporting ---------------------------------------------------------
 
     def idle(self) -> bool:
-        return (not self._active and not self._fast_active
-                and not self._deliveries and not self._retries)
+        return (not self._fast_active and not self._deliveries
+                and not self._retries)
 
     def _fold_channels(self) -> None:
         """Fold fast-path grant/bit counters into the scalar dicts."""

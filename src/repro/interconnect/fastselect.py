@@ -1,16 +1,18 @@
 """Plan-caching wire selector for the event-driven core.
 
-On a healthy network the plan for a transfer is a pure function of
-(kind, narrow prediction, narrow outcome, readiness, bits) plus -- when
-the load-balance rule is armed -- the current bulk-plane choice.  This
-selector memoizes the frozen :class:`PlannedSegment` tuples per decision
-instead of rebuilding them per transfer, and skips the imbalance
-detector's traffic window entirely on compositions where the detector
-can never be consulted.
+The event engine's network uses this selector in every run, traced,
+faulted and gated ones included.  With no planes to avoid, the plan
+for a transfer is a pure function of (kind, narrow prediction, narrow
+outcome, readiness, bits) plus -- when the load-balance rule is armed
+-- the current bulk-plane choice.  This selector memoizes the frozen
+:class:`PlannedSegment` tuples per decision instead of rebuilding them
+per transfer, and skips the imbalance detector's traffic window
+entirely on compositions where the detector can never be consulted.
 
 Every counter, telemetry emit and decision reason matches
-:class:`WireSelector` exactly; degraded (``avoid``) selections fall back
-to the scalar planner verbatim.
+:class:`WireSelector` exactly.  A transfer that must avoid planes (dead
+after a fault, or asleep under a gating policy) is planned by the
+scalar planner, call by call; the rest of its run keeps the cache.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ Plan = Tuple[str, List[PlannedSegment]]
 
 
 class CachingWireSelector(WireSelector):
-    """Memoizing drop-in for :class:`WireSelector` (healthy fast path)."""
+    """Memoizing drop-in for :class:`WireSelector`."""
 
     def __init__(self, composition: LinkComposition,
                  flags: PolicyFlags | None = None,

@@ -6,6 +6,7 @@ not magnitudes (the benchmark harness owns those).
 
 import pytest
 
+from repro.core.simulation import DEFAULT_SEED
 from repro.harness import (
     ExperimentRunner,
     ResultCache,
@@ -98,3 +99,71 @@ class TestClaims:
         by_name = {c.name: c for c in claims}
         assert by_name["latency_doubling_ipc_loss"].paper == -12.0
         assert by_name["figure3_lwire_gain"].paper == 4.2
+
+
+class RecordingRunner(ExperimentRunner):
+    """Records every plan handed to :meth:`run_many`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.plans = []
+
+    def run_many(self, plans, *args, **kwargs):
+        self.plans.extend(plans)
+        return super().run_many(plans, *args, **kwargs)
+
+
+TINY = dict(benchmarks=("gzip",), instructions=200, warmup=50)
+
+SWEEPS = [
+    pytest.param(lambda r, **kw: render_table3(
+        run_table3(r, models=("I", "VII"), **kw)), id="table3"),
+    pytest.param(lambda r, **kw: render_table4(
+        run_table4(r, models=("I", "VII"), **kw)), id="table4"),
+    pytest.param(lambda r, **kw: render_figure3(run_figure3(r, **kw)),
+                 id="figure3"),
+    pytest.param(lambda r, **kw: render_claims(run_claims(r, **kw)),
+                 id="claims"),
+]
+
+
+class TestSeed:
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_plans_carry_the_seed(self, tmp_path, sweep):
+        runner = RecordingRunner(cache=ResultCache(tmp_path),
+                                 verbose=False)
+        sweep(runner, seed=7, **TINY)
+        assert runner.plans
+        assert {plan.seed for plan in runner.plans} == {7}
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_default_seed_output_unchanged(self, tmp_path, sweep):
+        runner = RecordingRunner(cache=ResultCache(tmp_path / "default"),
+                                 verbose=False)
+        default = sweep(runner, **TINY)
+        assert {plan.seed for plan in runner.plans} == {DEFAULT_SEED}
+        explicit = sweep(ExperimentRunner(
+            cache=ResultCache(tmp_path / "explicit"), verbose=False),
+            seed=DEFAULT_SEED, **TINY)
+        assert default == explicit
+        other = sweep(ExperimentRunner(
+            cache=ResultCache(tmp_path / "other"), verbose=False),
+            seed=7, **TINY)
+        assert other != default
+
+    def test_cli_passes_seed_to_table3(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+
+        seen = []
+        original = ExperimentRunner.run_many
+
+        def run_many(self, plans, *args, **kwargs):
+            seen.extend(plans)
+            return original(self, plans, *args, **kwargs)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(ExperimentRunner, "run_many", run_many)
+        assert main(["table3", "--seed", "7", "--benchmarks", "gzip",
+                     "--instructions", "200", "--warmup", "50"]) == 0
+        assert seen
+        assert {plan.seed for plan in seen} == {7}
