@@ -20,35 +20,43 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from ._version import package_version
-from .core import (
-    ClusteredProcessor,
-    InterconnectConfig,
-    InterconnectModel,
-    ModelResult,
-    ProcessorConfig,
-    RelativeMetrics,
-    all_models,
-    baseline_interconnect,
-    model,
-    relative_metrics,
-    simulate_benchmark,
-    simulate_model,
-    wire_counts,
-)
-from .interconnect import (
-    CrossbarTopology,
-    HierarchicalTopology,
-    LinkComposition,
-    Network,
-    PolicyFlags,
-    Transfer,
-    TransferKind,
-)
-from .wires import WireClass, WireSpec, table2_rows
-from .workloads import BENCHMARK_NAMES, TraceGenerator, WorkloadProfile, profile
+from typing import TYPE_CHECKING
 
-__version__ = package_version()
+from . import _lazy
+
+if TYPE_CHECKING:
+    from ._version import __version__
+    from .core import (
+        ClusteredProcessor,
+        InterconnectConfig,
+        InterconnectModel,
+        ModelResult,
+        ProcessorConfig,
+        RelativeMetrics,
+        all_models,
+        baseline_interconnect,
+        model,
+        relative_metrics,
+        simulate_benchmark,
+        simulate_model,
+        wire_counts,
+    )
+    from .interconnect import (
+        CrossbarTopology,
+        HierarchicalTopology,
+        LinkComposition,
+        Network,
+        PolicyFlags,
+        Transfer,
+        TransferKind,
+    )
+    from .wires import WireClass, WireSpec, table2_rows
+    from .workloads import (
+        BENCHMARK_NAMES,
+        TraceGenerator,
+        WorkloadProfile,
+        profile,
+    )
 
 __all__ = [
     "ClusteredProcessor",
@@ -80,3 +88,5 @@ __all__ = [
     "profile",
     "__version__",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -10,37 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ._version import package_version
-from .core.models import MODEL_NAMES, all_models, model
-from .core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-)
-from .faults import FaultSpec, FaultSpecError
-from .harness import (
-    ExperimentPlan,
-    ExperimentRunner,
-    ResultCache,
-    render_claims,
-    render_faultsweep,
-    render_figure3,
-    render_powersweep,
-    render_table,
-    render_table3,
-    render_table4,
-    run_claims,
-    run_faultsweep,
-    run_figure3,
-    run_powersweep,
-    run_table3,
-    run_table4,
-)
-from .power import GatingPolicy, GatingSpecError
-from .wires import table2_rows
-from .workloads.spec2k import BENCHMARK_NAMES, PROFILES
+# Only what building the parser needs is imported here; each command
+# imports its own modules, so a command loads only the code it runs.
+from ._version import VersionAction
+from .core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
+from .core.models import MODEL_NAMES
+from .workloads.spec2k import BENCHMARK_NAMES
+
+if TYPE_CHECKING:
+    from .harness.runner import ExperimentPlan, ExperimentRunner
 
 
 def _positive_workers(text: str) -> int:
@@ -102,6 +82,8 @@ def _retries(text: str) -> int:
 
 def _fault_spec(text: str) -> str:
     """argparse type: fault spec string, normalized to canonical form."""
+    from .faults import FaultSpec, FaultSpecError
+
     try:
         return FaultSpec.parse(text).canonical()
     except FaultSpecError as exc:
@@ -114,6 +96,8 @@ def _gating_spec(text: str) -> str:
     "never" (and "") normalize to "", the always-on configuration that
     builds no power manager at all.
     """
+    from .power import GatingPolicy, GatingSpecError
+
     try:
         policy = GatingPolicy.parse(text)
     except GatingSpecError as exc:
@@ -244,10 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for Performance and Power in Partitioned "
                     "Architectures' (HPCA 2005)",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"repro {package_version()}",
-    )
+    parser.add_argument("--version", action=VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("models", help="list the Table 3/4 interconnect models")
@@ -487,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_models() -> str:
+    from .core.models import all_models
+    from .harness.formatting import render_table
+
     rows = [
         [m.name, m.description, f"{m.relative_metal_area():.1f}"]
         for m in all_models()
@@ -496,6 +480,9 @@ def _cmd_models() -> str:
 
 
 def _cmd_benchmarks() -> str:
+    from .harness.formatting import render_table
+    from .workloads.spec2k import PROFILES
+
     rows = [
         [name, "fp" if PROFILES[name].fp_frac > 0 else "int",
          f"{PROFILES[name].working_set_kb} KB"]
@@ -506,6 +493,9 @@ def _cmd_benchmarks() -> str:
 
 
 def _cmd_table2() -> str:
+    from .harness.formatting import render_table
+    from .wires import table2_rows
+
     rows = [
         [f"{r.wire_class.value}-Wires", f"{r.relative_delay:.1f}",
          r.crossbar_latency, r.ring_hop_latency,
@@ -526,6 +516,8 @@ def _wants_telemetry(args: argparse.Namespace) -> bool:
 
 def _make_runner(args: argparse.Namespace,
                  profiler=None) -> ExperimentRunner:
+    from .harness.runner import ExperimentRunner, ResultCache
+
     cache = ResultCache(enabled=not args.no_cache)
     return ExperimentRunner(
         cache=cache, workers=args.workers,
@@ -540,6 +532,7 @@ def _traced_simulation(model_name: str, benchmark: str, clusters: int,
                        warmup: int, seed: int, fault_spec: str,
                        gating: str = ""):
     """One telemetry-enabled simulation; returns (run, telemetry)."""
+    from .core.models import model
     from .core.simulation import simulate_benchmark
     from .telemetry import RingBufferSink, Telemetry
 
@@ -603,6 +596,9 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 def _cmd_run(args: argparse.Namespace) -> str:
     if _wants_telemetry(args):
         return _cmd_run_traced(args)
+    from .core.models import model
+    from .harness.runner import ExperimentPlan
+
     runner = _make_runner(args)
     plan = ExperimentPlan(
         model_name=args.model, benchmark=args.benchmark,
@@ -655,6 +651,7 @@ def _cmd_run_traced(args: argparse.Namespace) -> str:
     Telemetry never changes a reproduced number, so the printed IPC and
     energy figures match the cached path for the same plan.
     """
+    from .core.models import model
     from .telemetry import render_summary, summarize, write_chrome_trace
 
     run, telemetry = _traced_simulation(
@@ -683,7 +680,12 @@ def _cmd_run_traced(args: argparse.Namespace) -> str:
 
 def _cmd_faults(args: argparse.Namespace,
                 runner: ExperimentRunner) -> str:
-    from .harness.faultsweep import DEFAULT_SCENARIOS, FaultScenario
+    from .harness.faultsweep import (
+        DEFAULT_SCENARIOS,
+        FaultScenario,
+        render_faultsweep,
+        run_faultsweep,
+    )
 
     scenarios = list(DEFAULT_SCENARIOS)
     if args.fault_spec:
@@ -703,6 +705,8 @@ def _cmd_power(args: argparse.Namespace,
     from .harness.powersweep import (
         DEFAULT_GATING_SCENARIOS,
         GatingScenario,
+        render_powersweep,
+        run_powersweep,
     )
 
     scenarios = list(DEFAULT_GATING_SCENARIOS)
@@ -740,6 +744,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _submit_plans(args: argparse.Namespace) -> List[ExperimentPlan]:
+    from .harness.runner import ExperimentPlan
+
     benchmarks = args.benchmarks or list(BENCHMARK_NAMES)
     return [
         ExperimentPlan(
@@ -988,12 +994,20 @@ def _main(argv: Optional[List[str]] = None) -> int:
                   instructions=args.instructions, warmup=args.warmup,
                   seed=args.seed)
     if command == "figure3":
+        from .harness.figure3 import render_figure3, run_figure3
+
         print(render_figure3(run_figure3(runner, **kwargs)))
     elif command == "table3":
+        from .harness.table3 import render_table3, run_table3
+
         print(render_table3(run_table3(runner, **kwargs)))
     elif command == "table4":
+        from .harness.table4 import render_table4, run_table4
+
         print(render_table4(run_table4(runner, **kwargs)))
     elif command == "claims":
+        from .harness.claims import render_claims, run_claims
+
         print(render_claims(run_claims(runner, **kwargs)))
     else:  # pragma: no cover - argparse guards this
         return 2

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .._version import package_version
+from .._version import VersionAction
 from .baseline import Baseline, BaselineError
 from .engine import LintResult, find_root, lint_paths
 from .explain import explain
@@ -43,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(determinism, cache-key completeness, exception "
                     "and model hygiene)",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"repro lint {package_version()}",
-    )
+    parser.add_argument("--version", action=VersionAction)
     parser.add_argument(
         "paths", nargs="*", default=["src", "tests"], metavar="PATH",
         help="files or directories to lint (default: src tests)",

@@ -1,8 +1,13 @@
 """Cluster execution resources, steering, and criticality prediction."""
 
-from .cluster import DEFAULT_FU_COUNTS, FU_POOL, Cluster, uses_fp_resources
-from .criticality import CriticalityPredictor
-from .steering import SteeringHeuristic, SteeringWeights
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .cluster import DEFAULT_FU_COUNTS, FU_POOL, Cluster, uses_fp_resources
+    from .criticality import CriticalityPredictor
+    from .steering import SteeringHeuristic, SteeringWeights
 
 __all__ = [
     "DEFAULT_FU_COUNTS",
@@ -13,3 +18,5 @@ __all__ = [
     "SteeringHeuristic",
     "SteeringWeights",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

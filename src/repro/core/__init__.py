@@ -1,36 +1,35 @@
 """The paper's evaluation platform: configs, models, processor, metrics."""
 
-from .config import (
-    InterconnectConfig,
-    ProcessorConfig,
-    baseline_interconnect,
-    wire_counts,
-)
-from .instruction import NEVER, DynInstr, is_producer
-from .metrics import (
-    DYNAMIC_SHARE,
-    LEAKAGE_SHARE,
-    BenchmarkRun,
-    ModelResult,
-    RelativeMetrics,
-    relative_metrics,
-)
-from .models import (
-    MODEL_NAMES,
-    PAPER_METAL_AREA,
-    InterconnectModel,
-    all_models,
-    model,
-)
-from .processor import ClusteredProcessor, ProcessorStats
-from .simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-    build_processor,
-    simulate_benchmark,
-    simulate_model,
-)
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .config import (
+        InterconnectConfig,
+        ProcessorConfig,
+        baseline_interconnect,
+        wire_counts,
+    )
+    from .defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
+    from .instruction import NEVER, DynInstr, is_producer
+    from .metrics import (
+        DYNAMIC_SHARE,
+        LEAKAGE_SHARE,
+        BenchmarkRun,
+        ModelResult,
+        RelativeMetrics,
+        relative_metrics,
+    )
+    from .models import (
+        MODEL_NAMES,
+        PAPER_METAL_AREA,
+        InterconnectModel,
+        all_models,
+        model,
+    )
+    from .processor import ClusteredProcessor, ProcessorStats
+    from .simulation import build_processor, simulate_benchmark, simulate_model
 
 __all__ = [
     "InterconnectConfig",
@@ -60,3 +59,5 @@ __all__ = [
     "simulate_benchmark",
     "simulate_model",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
+from ..interconnect.flags import PolicyFlags
 from ..interconnect.plane import LinkComposition
-from ..interconnect.selection import PolicyFlags
 from ..interconnect.topology import (
     CrossbarTopology,
     HierarchicalTopology,

@@ -10,16 +10,10 @@ from ..telemetry import EventKind, Telemetry
 from ..workloads.generator import TraceGenerator
 from ..workloads.spec2k import BENCHMARK_NAMES, profile
 from .config import InterconnectConfig, ProcessorConfig
+from .defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from .metrics import BenchmarkRun, ModelResult
 from .models import InterconnectModel
 from .processor import ClusteredProcessor
-
-#: Default measured window (instructions) and warmup; the paper used
-#: 100 M + 1 M on native hardware -- these defaults keep a pure-Python
-#: run tractable and are overridable via the environment.
-DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_INSTRUCTIONS", "12000"))
-DEFAULT_WARMUP = int(os.environ.get("REPRO_WARMUP", "3000"))
-DEFAULT_SEED = 42
 
 #: Simulation engines.  "scalar" is the reference tree; "event" is the
 #: event-driven fast engine (:mod:`repro.core.fastcore`), bit-exact with

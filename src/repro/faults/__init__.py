@@ -9,8 +9,13 @@ machinery to inject them.  Degraded-mode routing itself lives in
 :mod:`repro.interconnect.network`.
 """
 
-from .injector import FaultInjector
-from .spec import NULL_FAULTS, FaultSpec, FaultSpecError, PlaneKill
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .injector import FaultInjector
+    from .spec import NULL_FAULTS, FaultSpec, FaultSpecError, PlaneKill
 
 __all__ = [
     "NULL_FAULTS",
@@ -19,3 +24,5 @@ __all__ = [
     "PlaneKill",
     "FaultInjector",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -1,13 +1,18 @@
 """Front end: branch prediction and fetch (Table 1 parameters)."""
 
-from .bpred import (
-    BimodalPredictor,
-    BranchTargetBuffer,
-    CombinedPredictor,
-    SaturatingCounterTable,
-    TwoLevelPredictor,
-)
-from .fetch import FetchUnit
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .bpred import (
+        BimodalPredictor,
+        BranchTargetBuffer,
+        CombinedPredictor,
+        SaturatingCounterTable,
+        TwoLevelPredictor,
+    )
+    from .fetch import FetchUnit
 
 __all__ = [
     "BimodalPredictor",
@@ -17,3 +22,5 @@ __all__ = [
     "TwoLevelPredictor",
     "FetchUnit",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

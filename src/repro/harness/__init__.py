@@ -1,43 +1,48 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from .claims import ClaimResult, render_claims, run_claims
-from .faultsweep import (
-    DEFAULT_SCENARIOS,
-    FaultScenario,
-    FaultSweepResult,
-    render_faultsweep,
-    run_faultsweep,
-)
-from .figure3 import Figure3Result, render_figure3, run_figure3
-from .formatting import (
-    percent_delta,
-    render_bar_chart,
-    render_table,
-    shape_check,
-)
-from .backoff import DecorrelatedJitter, backoff_seed, jitter_delays
-from .paperdata import PAPER_CLAIMS, PAPER_TABLE3, PAPER_TABLE4
-from .powersweep import (
-    DEFAULT_GATING_SCENARIOS,
-    GatingScenario,
-    PowerSweepResult,
-    render_powersweep,
-    run_powersweep,
-)
-from .profiling import NULL_PROFILER, HarnessProfiler
-from .runner import (
-    CACHE_VERSION,
-    REPORT_SCHEMA_VERSION,
-    ExperimentPlan,
-    ExperimentRunner,
-    ResultCache,
-    RunFailure,
-    SweepError,
-    SweepReport,
-    SweepSummary,
-)
-from .table3 import TableResult, render_table3, run_table3, shape_summary
-from .table4 import render_table4, run_table4
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .backoff import DecorrelatedJitter, backoff_seed, jitter_delays
+    from .claims import ClaimResult, render_claims, run_claims
+    from .faultsweep import (
+        DEFAULT_SCENARIOS,
+        FaultScenario,
+        FaultSweepResult,
+        render_faultsweep,
+        run_faultsweep,
+    )
+    from .figure3 import Figure3Result, render_figure3, run_figure3
+    from .formatting import (
+        percent_delta,
+        render_bar_chart,
+        render_table,
+        shape_check,
+    )
+    from .paperdata import PAPER_CLAIMS, PAPER_TABLE3, PAPER_TABLE4
+    from .powersweep import (
+        DEFAULT_GATING_SCENARIOS,
+        GatingScenario,
+        PowerSweepResult,
+        render_powersweep,
+        run_powersweep,
+    )
+    from .profiling import NULL_PROFILER, HarnessProfiler
+    from .runner import (
+        CACHE_VERSION,
+        REPORT_SCHEMA_VERSION,
+        ExperimentPlan,
+        ExperimentRunner,
+        ResultCache,
+        RunFailure,
+        SweepError,
+        SweepReport,
+        SweepSummary,
+    )
+    from .table3 import TableResult, render_table3, run_table3, shape_summary
+    from .table4 import render_table4, run_table4
 
 __all__ = [
     "NULL_PROFILER",
@@ -84,3 +89,5 @@ __all__ = [
     "render_claims",
     "run_claims",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -18,12 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..core.metrics import ModelResult
-from ..core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-)
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .paperdata import PAPER_CLAIMS
 from .runner import ExperimentPlan, ExperimentRunner

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-)
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_bar_chart, render_table
 from .paperdata import PAPER_CLAIMS

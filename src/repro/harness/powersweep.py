@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from ..core.metrics import BenchmarkRun
-from ..core.simulation import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from ..power import parse_gating
 from .formatting import render_table
 from .runner import ExperimentPlan, ExperimentRunner, SweepReport

@@ -33,10 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-import subprocess
-import tempfile
 import threading
 import time
 from collections import deque
@@ -53,15 +50,10 @@ from typing import (
 )
 
 from ..core.config import InterconnectConfig
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..core.metrics import BenchmarkRun, ModelResult
 from ..core.models import InterconnectModel, model
-from ..core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-    simulate_benchmark,
-)
-from ..interconnect.selection import PolicyFlags
+from ..interconnect.flags import PolicyFlags
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .backoff import DecorrelatedJitter
 from .profiling import NULL_PROFILER, HarnessProfiler
@@ -174,6 +166,8 @@ def _simulator_commit() -> str:
     """Current git commit of the simulator tree, for provenance."""
     global _COMMIT
     if _COMMIT is None:
+        import subprocess
+
         root = Path(__file__).resolve().parents[3]
         try:
             _COMMIT = subprocess.run(
@@ -354,6 +348,8 @@ class ResultCache:
         }
         path = self._path(plan)
         path.parent.mkdir(parents=True, exist_ok=True)
+        import tempfile
+
         # Atomic publish: a same-directory temp file renamed over the
         # target, so readers only ever see complete JSON.
         fd, tmp_name = tempfile.mkstemp(
@@ -376,6 +372,8 @@ def _execute_plan(
     interconnect_model: Optional[InterconnectModel] = None,
 ) -> Tuple[BenchmarkRun, float]:
     """Simulate one plan; also usable as a process-pool worker."""
+    from ..core.simulation import simulate_benchmark
+
     if interconnect_model is None:
         interconnect_model = model(plan.model_name)
     start = time.perf_counter()
@@ -839,6 +837,8 @@ class ExperimentRunner:
         ``max_retries`` times.  Returns plan -> (run, duration) |
         RunFailure.
         """
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         prof = self.profiler
         outcomes: Dict[ExperimentPlan, object] = {}

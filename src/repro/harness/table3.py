@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..core.metrics import ModelResult, RelativeMetrics, relative_metrics
 from ..core.models import MODEL_NAMES, model
-from ..core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-)
 from ..workloads.spec2k import BENCHMARK_NAMES
 from .formatting import render_table
 from .paperdata import PAPER_TABLE3

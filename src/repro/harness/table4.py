@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..core.defaults import DEFAULT_INSTRUCTIONS, DEFAULT_SEED, DEFAULT_WARMUP
 from ..core.models import MODEL_NAMES
-from ..core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP,
-)
 from .formatting import render_table
 from .paperdata import PAPER_TABLE4
 from .runner import ExperimentRunner

@@ -4,37 +4,43 @@ Links are bundles of wire planes (B-, PW-, L-Wires); a per-transfer
 selection policy chooses the plane each message rides.
 """
 
-from .errors import ConfigError, UnroutableError
-from .loadbalance import ImbalanceDetector, TrafficWindow
-from .message import (
-    DEFAULT_BITS,
-    LS_COMPARE_BITS,
-    LWIRE_BITS,
-    MISPREDICT_BITS,
-    MS_ADDRESS_BITS,
-    NARROW_DATA_BITS,
-    NARROW_MAX_VALUE,
-    OPERAND_BITS,
-    OPERAND_DATA_BITS,
-    PARTIAL_ADDRESS_BITS,
-    TAG_BITS,
-    Segment,
-    Transfer,
-    TransferKind,
-    is_narrow,
-)
-from .network import ChannelReport, DegradationReport, Network
-from .plane import LinkComposition, PlaneSpec
-from .selection import PlannedSegment, PolicyFlags, WireSelector
-from .stats import InterconnectStats, PlaneActivity, leakage_energy
-from .topology import (
-    CACHE_NODE,
-    CrossbarTopology,
-    HierarchicalTopology,
-    Path,
-    Topology,
-    cluster_node,
-)
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .errors import ConfigError, UnroutableError
+    from .flags import PolicyFlags
+    from .loadbalance import ImbalanceDetector, TrafficWindow
+    from .message import (
+        DEFAULT_BITS,
+        LS_COMPARE_BITS,
+        LWIRE_BITS,
+        MISPREDICT_BITS,
+        MS_ADDRESS_BITS,
+        NARROW_DATA_BITS,
+        NARROW_MAX_VALUE,
+        OPERAND_BITS,
+        OPERAND_DATA_BITS,
+        PARTIAL_ADDRESS_BITS,
+        TAG_BITS,
+        Segment,
+        Transfer,
+        TransferKind,
+        is_narrow,
+    )
+    from .network import ChannelReport, DegradationReport, Network
+    from .plane import LinkComposition, PlaneSpec
+    from .selection import PlannedSegment, WireSelector
+    from .stats import InterconnectStats, PlaneActivity, leakage_energy
+    from .topology import (
+        CACHE_NODE,
+        CrossbarTopology,
+        HierarchicalTopology,
+        Path,
+        Topology,
+        cluster_node,
+    )
 
 __all__ = [
     "DEFAULT_BITS",
@@ -74,3 +80,5 @@ __all__ = [
     "Network",
     "UnroutableError",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

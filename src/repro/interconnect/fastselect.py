@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..telemetry import Telemetry
 from ..wires import WireClass
+from .flags import PolicyFlags
 from .message import (
     LWIRE_BITS,
     MISPREDICT_BITS,
@@ -30,7 +31,7 @@ from .message import (
     TransferKind,
 )
 from .plane import LinkComposition
-from .selection import PlannedSegment, PolicyFlags, WireSelector
+from .selection import PlannedSegment, WireSelector
 
 _NO_AVOID: FrozenSet[WireClass] = frozenset()
 

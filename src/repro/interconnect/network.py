@@ -43,9 +43,10 @@ from ..power import GatingPolicy, PlanePowerManager, parse_gating
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import WireClass
 from .errors import ConfigError, UnroutableError
+from .flags import PolicyFlags
 from .message import Transfer
 from .plane import LinkComposition
-from .selection import PlannedSegment, PolicyFlags, WireSelector
+from .selection import PlannedSegment, WireSelector
 from .stats import InterconnectStats, leakage_energy
 from .topology import Topology
 

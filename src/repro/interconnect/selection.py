@@ -20,7 +20,7 @@ else PW-Wires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, List
 
 from typing import Optional
@@ -28,6 +28,7 @@ from typing import Optional
 from ..telemetry import NULL_TELEMETRY, EventKind, Telemetry
 from ..wires import WireClass
 from .errors import UnroutableError
+from .flags import PolicyFlags
 from .loadbalance import ImbalanceDetector
 from .message import (
     LWIRE_BITS,
@@ -41,31 +42,6 @@ from .plane import LinkComposition
 
 _L_ONLY: FrozenSet[WireClass] = frozenset((WireClass.L,))
 _PW_ONLY: FrozenSet[WireClass] = frozenset((WireClass.PW,))
-
-
-@dataclass(frozen=True)
-class PolicyFlags:
-    """Which of the paper's mechanisms are enabled.
-
-    The defaults enable everything a link's composition supports; the
-    ablation benchmarks toggle them individually.
-    """
-
-    lwire_mispredict: bool = True
-    lwire_partial_address: bool = True
-    lwire_narrow: bool = True
-    pw_ready_operand: bool = True
-    pw_store_data: bool = True
-    pw_load_balance: bool = True
-    #: Extension (off by default): wide values found in the replicated
-    #: frequent-value table travel as an L-Wire index (Yang et al.).
-    lwire_frequent_value: bool = False
-    load_balance_window: int = 5
-    load_balance_threshold: int = 10
-
-    def without_lwire_uses(self) -> "PolicyFlags":
-        return replace(self, lwire_mispredict=False,
-                       lwire_partial_address=False, lwire_narrow=False)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Centralized memory hierarchy: caches, TLB, LSQ, cache pipeline."""
 
-from .cache import SetAssocCache
-from .depspec import MemoryDependencePredictor
-from .hierarchy import HierarchyConfig, HitLevel, MemoryHierarchy
-from .lsq import LoadStoreQueue
-from .pipeline import AccessResult, CachePipeline
-from .tlb import TLB
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .cache import SetAssocCache
+    from .depspec import MemoryDependencePredictor
+    from .hierarchy import HierarchyConfig, HitLevel, MemoryHierarchy
+    from .lsq import LoadStoreQueue
+    from .pipeline import AccessResult, CachePipeline
+    from .tlb import TLB
 
 __all__ = [
     "SetAssocCache",
@@ -18,3 +23,5 @@ __all__ = [
     "CachePipeline",
     "LoadStoreQueue",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -1,8 +1,13 @@
 """Narrow bit-width operand machinery (Section 4 of the paper) plus the
 frequent-value compaction extension (Yang et al.)."""
 
-from .frequent import FrequentValueTable, frequent_value_coverage
-from .narrow import NarrowWidthPredictor, count_leading_zeros, fits_narrow
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .frequent import FrequentValueTable, frequent_value_coverage
+    from .narrow import NarrowWidthPredictor, count_leading_zeros, fits_narrow
 
 __all__ = [
     "FrequentValueTable",
@@ -11,3 +16,5 @@ __all__ = [
     "count_leading_zeros",
     "fits_narrow",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -14,27 +14,32 @@ technology nodes; this package gates them at runtime.  The pieces:
 explorer sweeps ``gating_policy`` as a design axis.
 """
 
-from .manager import (
-    DROWSY_LEAKAGE_FRACTION,
-    DROWSY_WAKE_ENERGY_PER_WIRE,
-    GATED_LEAKAGE_FRACTION,
-    GATED_WAKE_ENERGY_PER_WIRE,
-    PlanePowerManager,
-    PlanePowerReport,
-    PowerState,
-    leakage_power_watts,
-)
-from .policy import (
-    DEFAULT_DROWSY_WAKE,
-    DEFAULT_GATED_WAKE,
-    NEVER_GATE,
-    GatingPolicy,
-    GatingSpecError,
-    IdleThreshold,
-    NeverGate,
-    TrafficEwma,
-    parse_gating,
-)
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .manager import (
+        DROWSY_LEAKAGE_FRACTION,
+        DROWSY_WAKE_ENERGY_PER_WIRE,
+        GATED_LEAKAGE_FRACTION,
+        GATED_WAKE_ENERGY_PER_WIRE,
+        PlanePowerManager,
+        PlanePowerReport,
+        PowerState,
+        leakage_power_watts,
+    )
+    from .policy import (
+        DEFAULT_DROWSY_WAKE,
+        DEFAULT_GATED_WAKE,
+        NEVER_GATE,
+        GatingPolicy,
+        GatingSpecError,
+        IdleThreshold,
+        NeverGate,
+        TrafficEwma,
+        parse_gating,
+    )
 
 __all__ = [
     "DEFAULT_DROWSY_WAKE",
@@ -55,3 +60,5 @@ __all__ = [
     "leakage_power_watts",
     "parse_gating",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -19,39 +19,44 @@ instrumented component falls back to.  Wall-clock *harness* profiling
 this package's Chrome-trace schema.
 """
 
-from .aggregate import TraceSummary, render_summary, summarize
-from .chrometrace import (
-    assert_valid_chrome_trace,
-    chrome_events,
-    chrome_trace,
-    instant_timestamps,
-    load_chrome_trace,
-    trace_categories,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .events import (
-    ALL_CATEGORIES,
-    EVENT_CATEGORY,
-    EventKind,
-    TraceEvent,
-    make_event,
-)
-from .handle import NULL_TELEMETRY, Telemetry
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-)
-from .sinks import (
-    EventSink,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    read_jsonl_events,
-)
+from typing import TYPE_CHECKING
+
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from .aggregate import TraceSummary, render_summary, summarize
+    from .chrometrace import (
+        assert_valid_chrome_trace,
+        chrome_events,
+        chrome_trace,
+        instant_timestamps,
+        load_chrome_trace,
+        trace_categories,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from .events import (
+        ALL_CATEGORIES,
+        EVENT_CATEGORY,
+        EventKind,
+        TraceEvent,
+        make_event,
+    )
+    from .handle import NULL_TELEMETRY, Telemetry
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        merge_counters,
+    )
+    from .sinks import (
+        EventSink,
+        JsonlSink,
+        NullSink,
+        RingBufferSink,
+        read_jsonl_events,
+    )
 
 __all__ = [
     "ALL_CATEGORIES",
@@ -83,3 +88,5 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = _lazy.attach(__name__)

@@ -13,7 +13,7 @@ adaptive bucketing would make the snapshot depend on arrival order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 class Counter:

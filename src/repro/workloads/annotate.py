@@ -31,7 +31,8 @@ from typing import Dict, List, Tuple
 from ..frontend.bpred import BranchTargetBuffer, CombinedPredictor
 from ..memory.cache import SetAssocCache
 from ..operands.narrow import NarrowWidthPredictor
-from .generator import TraceGenerator, WorkloadProfile
+from .generator import TraceGenerator
+from .params import WorkloadProfile
 from .spec2k import profile
 from .trace import InstructionRecord, OpClass
 

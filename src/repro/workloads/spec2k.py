@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .generator import WorkloadProfile
+from .params import WorkloadProfile
 
 #: Benchmark names in the paper's Figure 3 order.
 BENCHMARK_NAMES: Tuple[str, ...] = (

@@ -1,7 +1,7 @@
 """Shared fixtures: isolate every test from the ambient cache config.
 
-CI runs the suite with ``REPRO_NO_CACHE=1`` (so the committed seed cache
-cannot mask simulator regressions), while developers may have
+CI runs the suite with ``REPRO_NO_CACHE=1`` (so no cached result can
+mask a simulator regression), while developers may have
 ``REPRO_CACHE_DIR`` pointing anywhere.  Tests that exercise the cache
 layer construct their own ``ResultCache(tmp_path)`` and must see neither
 setting, so both are cleared for every test; tests that *want* them set

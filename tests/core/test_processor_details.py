@@ -4,8 +4,8 @@ import itertools
 
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.processor import ClusteredProcessor
+from repro.interconnect.flags import PolicyFlags
 from repro.interconnect.message import TransferKind
-from repro.interconnect.selection import PolicyFlags
 from repro.wires import WireClass
 from repro.workloads.trace import InstructionRecord, OpClass
 

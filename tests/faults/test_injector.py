@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultSpec, PlaneKill
+from repro.faults import FaultInjector, FaultSpec
 from repro.interconnect import ConfigError
 from repro.interconnect.topology import CrossbarTopology
 from repro.wires import CANONICAL_SPECS, WireClass

@@ -6,8 +6,6 @@ These tests compare full :class:`BenchmarkRun` values (every field,
 including the ``extra`` stat tuples) across execution strategies.
 """
 
-import pytest
-
 from repro.harness.runner import ExperimentPlan, ExperimentRunner, ResultCache
 
 #: Small but non-trivial window: long enough to exercise redirects,
@@ -98,7 +96,7 @@ class TestParallelCacheIntegrity:
 
     def test_flag_override_models_cross_process(self, tmp_path):
         # Policy-flag ablations ship a custom model to the workers.
-        from repro.interconnect.selection import PolicyFlags
+        from repro.interconnect.flags import PolicyFlags
 
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)

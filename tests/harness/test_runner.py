@@ -3,8 +3,6 @@
 import json
 import threading
 
-import pytest
-
 from repro.core.metrics import BenchmarkRun
 from repro.harness.runner import (
     CACHE_VERSION,
@@ -317,7 +315,7 @@ class TestRunner:
         assert warm == cold
 
     def test_run_model_with_flags_distinct_cache(self, tmp_path):
-        from repro.interconnect.selection import PolicyFlags
+        from repro.interconnect.flags import PolicyFlags
         runner = ExperimentRunner(cache=ResultCache(tmp_path),
                                   verbose=False)
         ablated = PolicyFlags(lwire_narrow=False)

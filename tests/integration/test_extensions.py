@@ -9,7 +9,7 @@ from dataclasses import replace
 from repro.core.config import InterconnectConfig, ProcessorConfig, wire_counts
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.interconnect.selection import PolicyFlags
+from repro.interconnect.flags import PolicyFlags
 from repro.interconnect.topology import CrossbarTopology
 from repro.wires import WireClass
 

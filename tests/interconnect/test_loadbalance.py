@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.interconnect.flags import PolicyFlags
 from repro.interconnect.loadbalance import ImbalanceDetector, TrafficWindow
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.selection import PolicyFlags, WireSelector
+from repro.interconnect.selection import WireSelector
 from repro.telemetry import EventKind, RingBufferSink, Telemetry
 from repro.wires import WireClass
 

@@ -1,7 +1,5 @@
 """Tests for transfer kinds and bit-width accounting."""
 
-import pytest
-
 from repro.interconnect.message import (
     DEFAULT_BITS,
     LWIRE_BITS,

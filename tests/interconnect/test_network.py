@@ -5,7 +5,6 @@ import pytest
 from repro.interconnect.message import Transfer, TransferKind
 from repro.interconnect.network import Network
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.selection import PolicyFlags
 from repro.interconnect.topology import CrossbarTopology, HierarchicalTopology
 from repro.wires import WireClass
 

@@ -1,7 +1,6 @@
 """Tests for the wire-selection policy (the paper's Section 4 mechanisms)."""
 
-import pytest
-
+from repro.interconnect.flags import PolicyFlags
 from repro.interconnect.message import (
     LWIRE_BITS,
     MISPREDICT_BITS,
@@ -12,7 +11,7 @@ from repro.interconnect.message import (
     TransferKind,
 )
 from repro.interconnect.plane import LinkComposition
-from repro.interconnect.selection import PolicyFlags, WireSelector
+from repro.interconnect.selection import WireSelector
 from repro.wires import WireClass
 
 

@@ -1,7 +1,5 @@
 """The Telemetry handle: null default, zero-cost disabled contract."""
 
-import pytest
-
 from repro.telemetry import (
     NULL_TELEMETRY,
     EventKind,

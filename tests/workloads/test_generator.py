@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.workloads.generator import TraceGenerator, WorkloadProfile
+from repro.workloads.generator import TraceGenerator
+from repro.workloads.params import WorkloadProfile
 from repro.workloads.trace import NO_REG, NUM_ARCH_REGS, OpClass
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.models import model
 from repro.core.simulation import build_processor
-from repro.workloads.spec2k import BENCHMARK_NAMES, PROFILES
+from repro.workloads.spec2k import BENCHMARK_NAMES
 
 
 @pytest.fixture(scope="module")
