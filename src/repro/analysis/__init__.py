@@ -14,31 +14,29 @@ commit instead of trusting convention:
   crash-isolation boundaries; ``ConfigError``, not ``KeyError``, for
   configuration lookups.
 * **SIM4xx model hygiene** -- spec/plan/report dataclasses frozen, no
-  mutable default arguments, no float-literal equality in metrics.
+  float-literal equality in metrics.
 
-v2 adds whole-program passes over a linked project context (import
-graph, symbol table, approximate call graph -- see
+Whole-program passes run over a linked project context (import graph,
+symbol table, approximate call graph -- see
 :mod:`repro.analysis.project`):
 
 * **SIM5xx seed provenance** -- every RNG construction must be seeded
   from a plan-derived value (taint chased across the call graph), and
   plan fields consumed across modules must feed ``cache_key()``.
-* **SIM6xx physical units** -- wire/energy/stats API parameters carry
-  units (builtin registry + ``# simlint: units(...)`` declarations);
-  unit-incompatible arithmetic and unconverted cross-API handoffs are
-  findings.
 * **SIM8xx async blocking** -- blocking calls (``time.sleep``, sync
   file I/O, sweep fan-out) written in or reachable from ``async def``
   bodies via sync helpers.
 
+Generic style (bare ``except:``, mutable default arguments, ...) is
+ruff's job, configured in ``pyproject.toml``.
+
 Run it as ``python -m repro.analysis.simlint src tests`` or via the
-CLI as ``repro lint``.  Findings are suppressed inline with
+CLI as ``repro lint``.  Each run is one serial, read-only pass over
+the files.  Findings are suppressed inline with
 ``# simlint: disable=CODE`` (rationale comment expected) or allowlisted
 in the committed ``simlint-baseline.json`` (``--check-baseline`` keeps
-it free of stale entries).  Warm runs are incremental via the
-content-hashed ``.simlint-cache/`` and parallel via ``--jobs``;
-``--explain SIMxxx`` prints a rule's rationale with its test-backed
-bad/good examples.
+it free of stale entries); ``--explain SIMxxx`` prints a rule's
+rationale with its test-backed bad/good examples.
 """
 
 from .baseline import Baseline

@@ -25,8 +25,9 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*disable=([A-Za-z0-9x,\s]+)"
@@ -107,14 +108,11 @@ def suppressed(code: str, patterns: Set[str]) -> bool:
 class FileContext:
     """Everything a rule may inspect about one file."""
 
-    path: Path  # absolute
     rel: str  # posix path relative to the detected root
-    source: str
     tree: ast.AST
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     #: Why suppressions could not be read (SIM002), if they couldn't.
     suppression_error: Optional[str] = None
-    _parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     # -- path scoping ----------------------------------------------------
 
@@ -133,30 +131,29 @@ class FileContext:
         """Inside the sweep service (wall-clock timeouts are its job)."""
         return self.rel.startswith("src/repro/service/")
 
-    @property
-    def in_analysis(self) -> bool:
-        """Inside the analyzer itself (no simulated numbers here)."""
-        return self.rel.startswith("src/repro/analysis/")
-
-    @property
-    def in_tests(self) -> bool:
-        return self.rel.startswith("tests/")
-
     # -- AST helpers -----------------------------------------------------
 
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order.
+
+        Built once per file; rules iterate this list instead of each
+        walking the tree again.
+        """
+        return list(ast.walk(self.tree))
+
+    @cached_property
     def parents(self) -> Dict[ast.AST, ast.AST]:
         """Child -> parent map over the whole tree (built lazily)."""
-        if self._parents is None:
-            parents: Dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-            self._parents = parents
-        return self._parents
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in self.nodes:
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        return parents
 
     def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
         """Nearest enclosing FunctionDef/AsyncFunctionDef, if any."""
-        parents = self.parents()
+        parents = self.parents
         current = parents.get(node)
         while current is not None:
             if isinstance(current, (ast.FunctionDef,
@@ -174,14 +171,12 @@ def load_context(path: Path, rel: str) -> Tuple[Optional[FileContext],
     except (OSError, UnicodeDecodeError) as exc:
         return None, f"unreadable: {exc}"
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
         return None, f"syntax error: {exc.msg} (line {exc.lineno})"
     suppressions, supp_error = parse_suppressions(source)
     return FileContext(
-        path=path,
         rel=rel,
-        source=source,
         tree=tree,
         suppressions=suppressions,
         suppression_error=supp_error,

@@ -1,13 +1,11 @@
 """Per-module facts feeding the whole-program passes.
 
-The project analysis never holds every AST in memory at once: phase 1
-reduces each file to a :class:`ModuleFacts` record -- imports (relative
-ones resolved against the module's dotted name), defined
-functions/classes, an approximate list of call sites with receiver
-resolution hints, RNG construction sites with a local seed-taint
-verdict, plan-attribute reads, and ``# simlint: units(...)``
-declarations.  Facts are plain JSON-able data, which is what makes the
-``.simlint-cache`` entries (and the process-pool hand-off) cheap.
+The engine reduces each parsed file to a :class:`ModuleFacts` record
+-- imports (relative ones resolved against the module's dotted name),
+defined functions/classes, an approximate list of call sites with
+receiver resolution hints, RNG construction sites with a local
+seed-taint verdict, and plan-attribute reads -- and the linker
+(:mod:`repro.analysis.project`) joins the records into graphs.
 
 Taint verdicts here are *local*: an expression is ``T`` (tainted) when
 it syntactically mentions a seed-ish name/attribute or a seed-deriving
@@ -20,7 +18,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .context import FileContext
 
@@ -39,8 +37,6 @@ RNG_FACTORIES = {
 
 #: OS-entropy generators: never derivable from a plan seed at all.
 RNG_ENTROPY = {"random.SystemRandom"}
-
-_UNITS_DECL_RE = re.compile(r"#\s*simlint:\s*units\(([^)]*)\)")
 
 # Taint states.
 TAINTED = "T"
@@ -133,14 +129,6 @@ class ModuleFacts:
     rng_sites: List[dict] = field(default_factory=list)
     plan_reads: List[dict] = field(default_factory=list)
     plan_classes: Dict[str, dict] = field(default_factory=dict)
-    unit_decls: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModuleFacts":
-        return cls(**data)
 
 
 def module_name_for(rel: str) -> str:
@@ -451,13 +439,13 @@ class _FactsVisitor(ast.NodeVisitor):
         }
 
 
-def _annotate_plan_params(tree: ast.AST) -> None:
-    """Stamp each def's plan-annotated parameter names onto the walk.
+def _annotate_plan_params(nodes: Iterable[ast.AST]) -> None:
+    """Stamp each def's plan-annotated parameter names onto its node.
 
     Stored on the AST nodes (``_plan_params``) so the visitor's
     function stack can consult them without a second symbol pass.
     """
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         names = []
@@ -478,41 +466,9 @@ def _annotate_plan_params(tree: ast.AST) -> None:
             node._plan_params = names  # type: ignore[attr-defined]
 
 
-def _collect_unit_decls(source: str, facts: ModuleFacts) -> None:
-    """Harvest ``# simlint: units(param=unit, return=unit)`` comments.
-
-    A declaration binds to the ``def`` on the same line or on the line
-    directly below the comment, and registers under the function's
-    module-qualified name so cross-module callers see it.
-    """
-    lines = source.splitlines()
-    decls: Dict[int, Dict[str, str]] = {}
-    for index, text in enumerate(lines, start=1):
-        match = _UNITS_DECL_RE.search(text)
-        if not match:
-            continue
-        mapping: Dict[str, str] = {}
-        for item in match.group(1).split(","):
-            name, _, unit = item.partition("=")
-            if name.strip() and unit.strip():
-                mapping[name.strip()] = unit.strip()
-        if mapping:
-            decls[index] = mapping
-    if not decls:
-        return
-    for func in facts.functions:
-        for offset in (0, -1):
-            mapping = decls.get(func["line"] + offset)
-            if mapping:
-                qual = f"{facts.module}.{func['qual']}"
-                facts.unit_decls[qual] = mapping
-
-
 def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Reduce one parsed file to its :class:`ModuleFacts`."""
     facts = ModuleFacts(rel=ctx.rel, module=module_name_for(ctx.rel))
-    _annotate_plan_params(ctx.tree)
-    visitor = _FactsVisitor(facts)
-    visitor.visit(ctx.tree)
-    _collect_unit_decls(ctx.source, facts)
+    _annotate_plan_params(ctx.nodes)
+    _FactsVisitor(facts).visit(ctx.tree)
     return facts

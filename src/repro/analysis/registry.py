@@ -3,8 +3,7 @@
 Two kinds of rule register here:
 
 * **file rules** -- callables ``(FileContext) -> Iterable[Finding]``
-  via :func:`register`; they see one file at a time and run inside the
-  (possibly parallel) per-file phase.
+  via :func:`register`; they see one file at a time.
 * **project rules** -- callables ``(ProjectContext) ->
   Iterable[Finding]`` via :func:`register_project`; they run after the
   linker has built the import/call graphs and may reason across
@@ -14,7 +13,7 @@ Registration happens at import time of :mod:`repro.analysis.rules`;
 the engine iterates :func:`file_rules` / :func:`project_rules`.  Codes
 group into families by their hundreds digit (SIM1xx determinism,
 SIM2xx cache keys, SIM3xx exceptions, SIM4xx model hygiene, SIM5xx
-seed provenance, SIM6xx physical units, SIM8xx async blocking).
+seed provenance, SIM8xx async blocking).
 """
 
 from __future__ import annotations

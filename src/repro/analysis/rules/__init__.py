@@ -13,5 +13,4 @@ from . import (  # noqa: F401
     exceptions,
     hygiene,
     seedflow,
-    unitflow,
 )

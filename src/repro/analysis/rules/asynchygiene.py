@@ -55,7 +55,7 @@ def check_async_hygiene(ctx: FileContext) -> Iterator[Finding]:
     shutdown into a wedge.  Deliberate swallows at a shutdown boundary
     suppress inline with a rationale.
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if (isinstance(node, ast.Expr)
                 and isinstance(node.value, ast.Call)
                 and _is_create_task(node.value)):

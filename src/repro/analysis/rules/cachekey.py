@@ -108,7 +108,7 @@ def check_cache_key_fields(ctx: FileContext) -> Iterator[Finding]:
     object serialization).  Adding an ``ExperimentPlan`` field without
     extending the key is exactly the bug this catches.
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         key_func = _key_method(node)
@@ -146,7 +146,7 @@ def check_cache_key_version(ctx: FileContext) -> Iterator[Finding]:
     """
     if "CACHE_VERSION" not in _module_constants(ctx.tree):
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         key_func = _key_method(node)

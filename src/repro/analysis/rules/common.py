@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 
 @dataclass
@@ -21,9 +21,10 @@ class ImportMap:
     members: Dict[str, str] = field(default_factory=dict)
 
 
-def collect_imports(tree: ast.AST) -> ImportMap:
+def collect_imports(nodes: Iterable[ast.AST]) -> ImportMap:
+    """The import bindings among ``nodes`` (a file's ``ctx.nodes``)."""
     imports = ImportMap()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -74,14 +75,14 @@ def resolve_call_target(func: ast.AST, imports: ImportMap
     return dotted
 
 
-def iteration_targets(tree: ast.AST):
+def iteration_targets(nodes: Iterable[ast.AST]):
     """Yield every expression a ``for`` or comprehension iterates.
 
     Yields ``(iter_node, anchor_node, comp_node)`` triples; the anchor
     carries the line/col to report, ``comp_node`` is the enclosing
     comprehension (``None`` for statement loops).
     """
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             yield node.iter, node, None
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,

@@ -12,7 +12,7 @@ process).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterable, Iterator, Optional, Set
 
 from ..context import FileContext
 from ..findings import Finding
@@ -65,8 +65,8 @@ def check_global_rng(ctx: FileContext) -> Iterator[Finding]:
     state: any library call, import-order change or worker split
     reorders the stream and changes every downstream number.
     """
-    imports = collect_imports(ctx.tree)
-    for node in ast.walk(ctx.tree):
+    imports = collect_imports(ctx.nodes)
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node.func, imports)
@@ -97,17 +97,14 @@ def check_wall_clock(ctx: FileContext) -> Iterator[Finding]:
     Timing instrumentation belongs in ``src/repro/harness/`` (runner
     duration provenance, timeout enforcement) and
     ``src/repro/service/`` (retry backoff, breaker cooldowns, queue
-    drain estimates -- wall-clock concerns by design).  The analyzer
-    itself (``src/repro/analysis/``, phase timing) reproduces no
-    simulated numbers and is exempt too; anywhere else in
-    ``src/repro/`` a clock or entropy read means the model's numbers
+    drain estimates -- wall-clock concerns by design).  Anywhere else
+    in ``src/repro/`` a clock or entropy read means the model's numbers
     can depend on when or where they were produced.
     """
-    if (not ctx.in_src or ctx.in_harness or ctx.in_service
-            or ctx.in_analysis):
+    if not ctx.in_src or ctx.in_harness or ctx.in_service:
         return
-    imports = collect_imports(ctx.tree)
-    for node in ast.walk(ctx.tree):
+    imports = collect_imports(ctx.nodes)
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node.func, imports)
@@ -122,10 +119,10 @@ def check_wall_clock(ctx: FileContext) -> Iterator[Finding]:
             )
 
 
-def _set_valued_names(tree: ast.AST) -> Set[str]:
+def _set_valued_names(nodes: Iterable[ast.AST]) -> Set[str]:
     """Names (incl. ``self.x``) assigned a set anywhere in the module."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         targets = []
         if isinstance(node, ast.Assign):
             value, targets = node.value, node.targets
@@ -169,7 +166,7 @@ def _order_free_comprehension(ctx: FileContext,
     if isinstance(comp, ast.SetComp):
         # Set-from-set: the result has no order to perturb.
         return True
-    parent = ctx.parents().get(comp)
+    parent = ctx.parents.get(comp)
     return (isinstance(parent, ast.Call)
             and isinstance(parent.func, ast.Name)
             and parent.func.id in _ORDER_FREE_CONSUMERS)
@@ -187,8 +184,8 @@ def check_set_iteration(ctx: FileContext) -> Iterator[Finding]:
     whose result is order-free (fed straight into ``sorted``/``set``/
     ``any``/``all``/``len``) are exempt.
     """
-    set_names = _set_valued_names(ctx.tree)
-    for iter_node, anchor, comp in iteration_targets(ctx.tree):
+    set_names = _set_valued_names(ctx.nodes)
+    for iter_node, anchor, comp in iteration_targets(ctx.nodes):
         if _order_free_comprehension(ctx, comp):
             continue
         described = ""
@@ -227,7 +224,7 @@ def check_dict_iteration_in_output(ctx: FileContext) -> Iterator[Finding]:
     ``utilization_report`` ordering bug).  Sort explicitly so output
     survives refactors of the producing code.
     """
-    for iter_node, anchor, _comp in iteration_targets(ctx.tree):
+    for iter_node, anchor, _comp in iteration_targets(ctx.nodes):
         if not (isinstance(iter_node, ast.Call)
                 and isinstance(iter_node.func, ast.Attribute)
                 and iter_node.func.attr in ("items", "keys", "values")
@@ -254,7 +251,7 @@ def check_id_ordering(ctx: FileContext) -> Iterator[Finding]:
     Using it as a sort key (or tie-breaker) makes orderings
     unreproducible across processes and runs.
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         callee = node.func
@@ -336,8 +333,8 @@ def check_numpy_nondeterminism(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src or ctx.in_harness:
         return
-    imports = collect_imports(ctx.tree)
-    for node in ast.walk(ctx.tree):
+    imports = collect_imports(ctx.nodes)
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(node.func, imports)

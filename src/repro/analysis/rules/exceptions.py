@@ -8,6 +8,7 @@ at *crash-isolation boundaries* -- the worker wrapper in
 ``harness/runner.py`` that converts arbitrary failures into structured
 :class:`RunFailure` records -- and those boundaries must be annotated
 with an explicit ``# simlint: disable=SIM302`` plus a rationale.
+(Bare ``except:`` is ruff's E722.)
 """
 
 from __future__ import annotations
@@ -44,22 +45,6 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     )
 
 
-@register("SIM301", "no bare except clauses")
-def check_bare_except(ctx: FileContext) -> Iterator[Finding]:
-    """``except:`` also catches KeyboardInterrupt and SystemExit."""
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield Finding(
-                code="SIM301",
-                message=("bare 'except:'; name the exceptions, or use "
-                         "'except Exception' at an annotated "
-                         "crash-isolation boundary"),
-                path=ctx.rel,
-                line=node.lineno,
-                col=node.col_offset,
-            )
-
-
 @register("SIM302",
           "broad except only at annotated crash-isolation boundaries")
 def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
@@ -68,7 +53,7 @@ def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
     Handlers that re-raise (cleanup-then-propagate) are exempt; true
     isolation boundaries suppress this rule inline with a rationale.
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ExceptHandler) or node.type is None:
             continue
         if _reraises(node):
@@ -101,7 +86,7 @@ def check_raise_keyerror(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Raise) or node.exc is None:
             continue
         exc = node.exc

@@ -1,9 +1,9 @@
 """SIM4xx -- model hygiene.
 
 Spec/plan/result objects flow into cache keys, dict keys and
-cross-process pickles; mutability there corrupts silently.  Mutable
-default arguments alias state across calls.  Float equality on
-computed metrics turns last-bit noise into flipped comparisons.
+cross-process pickles; mutability there corrupts silently.  Float
+equality on computed metrics turns last-bit noise into flipped
+comparisons.  (Mutable default arguments are ruff's B006.)
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def check_frozen_specs(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         if not _VALUE_SUFFIX.search(node.name):
@@ -78,41 +78,6 @@ def check_frozen_specs(ctx: FileContext) -> Iterator[Finding]:
             line=decorator.lineno,
             col=decorator.col_offset,
         )
-
-
-_MUTABLE_CALLS = {"list", "dict", "set"}
-
-
-def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CALLS
-            and not node.args and not node.keywords)
-
-
-@register("SIM402", "no mutable default arguments")
-def check_mutable_defaults(ctx: FileContext) -> Iterator[Finding]:
-    """A mutable default is shared by every call of the function."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_literal(default):
-                yield Finding(
-                    code="SIM402",
-                    message=(f"mutable default argument in "
-                             f"{node.name}(); use None and create the "
-                             f"container inside the function"),
-                    path=ctx.rel,
-                    line=default.lineno,
-                    col=default.col_offset,
-                )
 
 
 def _fractional_float(node: ast.AST) -> Optional[float]:
@@ -140,7 +105,7 @@ def check_float_equality(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.in_src:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left] + list(node.comparators)

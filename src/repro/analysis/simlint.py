@@ -13,10 +13,8 @@ so un-rationalized entries stand out in review) and
 ``--check-baseline`` fails on entries no current finding uses, so
 fixed violations cannot keep an open allowlist slot.
 
-Performance knobs: ``--jobs N`` fans the per-file phase out over
-processes, and the content-hashed cache under ``.simlint-cache/``
-makes warm re-runs skip parsing entirely (``--no-cache`` /
-``--cache-dir`` control it; ``--timings FILE`` records phase times).
+Each run is one serial pass over the files named; it reads the tree
+and the baseline and writes nothing but ``--write-baseline``'s file.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to report (default: all; "
-             "every rule still runs so the cache stays shared)",
+             "every rule still runs)",
     )
     parser.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -84,25 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-baseline", action="store_true",
         help="also fail (exit 1) when the baseline carries stale "
              "entries that no current finding uses",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file analysis out over N processes "
-             "(default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk incremental cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: .simlint-cache at the repo "
-             "root)",
-    )
-    parser.add_argument(
-        "--timings", default=None, metavar="FILE",
-        help="write a JSON phase-timing summary to FILE "
-             "('-' for stdout)",
     )
     return parser
 
@@ -187,22 +166,6 @@ def _stale_baseline_entries(baseline: Baseline,
     return stale
 
 
-def _write_timings(result: LintResult, destination: str) -> None:
-    payload = json.dumps({
-        "timings_s": {name: round(value, 4)
-                      for name, value in sorted(result.timings.items())},
-        "files_checked": result.files_checked,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "project_cache_hit": result.project_cache_hit,
-        "jobs": result.jobs,
-    }, indent=2, sort_keys=True)
-    if destination == "-":
-        print(payload)
-    else:
-        Path(destination).write_text(payload + "\n", encoding="utf-8")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -247,9 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
 
-    if args.jobs < 1:
-        print("repro lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.check_baseline and baseline is None:
         print("repro lint: --check-baseline needs a baseline file "
               "(none found and --no-baseline not applicable)",
@@ -261,14 +221,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               "out-of-scope entry stale)", file=sys.stderr)
         return 2
 
-    result = lint_paths(
-        paths, baseline=baseline, select=select, root=root,
-        jobs=args.jobs, use_cache=not args.no_cache,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-    )
-
-    if args.timings is not None:
-        _write_timings(result, args.timings)
+    result = lint_paths(paths, baseline=baseline, select=select,
+                        root=root)
 
     if args.write_baseline:
         if baseline_path is None:

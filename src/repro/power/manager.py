@@ -397,7 +397,6 @@ class PlanePowerManager:
         for slot in self._slots:
             self._settle(slot, max(target, slot.settled), emit=False)
 
-    # simlint: units(cycles=cycles, return=rel_energy)
     def leakage_energy(self, cycles: int) -> float:
         """State-weighted leakage plus wake energy over the window.
 
@@ -416,7 +415,6 @@ class PlanePowerManager:
             total += slot.wires * slot.leak_rate * weighted
         return total + self.wake_energy()
 
-    # simlint: units(return=rel_energy)
     def wake_energy(self) -> float:
         """Total reactivation energy charged this window."""
         total = 0.0
@@ -490,7 +488,6 @@ def _channel_link(channel: str, links: Mapping[str, int]) -> str:
     raise ValueError(f"channel {channel!r} matches no physical link")
 
 
-# simlint: units(node=nm, return=W)
 def leakage_power_watts(wire_inventory: Mapping[WireClass, int],
                         node: int) -> float:
     """Absolute leakage power (W) of a wire inventory at a tech node.

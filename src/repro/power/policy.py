@@ -86,7 +86,6 @@ class GatingPolicy:
     def hold_cycles(self) -> int:
         return 0
 
-    # simlint: units(return=cycles)
     def wake_latency(self, from_gated: bool) -> int:
         """Cycles a reactivation stalls for, out of either state."""
         return self.gwake if from_gated else self.wake

@@ -102,20 +102,17 @@ def _check_profile(profile: str) -> str:
     return profile
 
 
-# simlint: units(node=nm, return=V)
 def supply_voltage(node: int, profile: str = "itrs") -> float:
     """Supply voltage at ``node`` (V) under a scaling profile."""
     return VDD_BASE_V * VDD_SCALE[_check_profile(profile)][_check_node(node)]
 
 
-# simlint: units(node=nm, return=GHz)
 def clock_frequency_ghz(node: int, profile: str = "itrs") -> float:
     """Projected clock frequency at ``node`` (GHz)."""
     return (FREQ_BASE_GHZ
             * FREQ_SCALE[_check_profile(profile)][_check_node(node)])
 
 
-# simlint: units(node=nm, return=m)
 def link_length_m(node: int) -> float:
     """Inter-cluster link length at ``node`` (m).
 
@@ -126,7 +123,6 @@ def link_length_m(node: int) -> float:
     return REFERENCE_LENGTH * math.sqrt(AREA_SCALE[_check_node(node)])
 
 
-# simlint: units(node=nm, return=mm2)
 def link_metal_area_mm2(w_wire_tracks: float, node: int) -> float:
     """Metal area (mm^2) of ``w_wire_tracks`` W-Wire-equivalent tracks.
 

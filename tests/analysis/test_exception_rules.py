@@ -1,28 +1,6 @@
 """SIM3xx: exception hygiene fixtures."""
 
 
-class TestSIM301BareExcept:
-    def test_flags_bare_except(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            def run(step):
-                try:
-                    step()
-                except:
-                    pass
-            """}, select={"SIM301"})
-        assert [f.code for f in result.findings] == ["SIM301"]
-
-    def test_named_except_is_fine(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            def run(step):
-                try:
-                    step()
-                except ValueError:
-                    pass
-            """}, select={"SIM301"})
-        assert result.findings == []
-
-
 class TestSIM302BroadExcept:
     def test_flags_swallowed_exception(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\

@@ -62,32 +62,6 @@ class TestSIM401FrozenSpecs:
         assert result.findings == []
 
 
-class TestSIM402MutableDefaults:
-    def test_flags_literal_and_constructor_defaults(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            def run(steps=[], opts=dict(), *, tags={"a"}):
-                return steps, opts, tags
-            """}, select={"SIM402"})
-        assert [f.code for f in result.findings] == (
-            ["SIM402", "SIM402", "SIM402"]
-        )
-
-    def test_none_default_is_fine(self, lint_tree):
-        result = lint_tree({"src/repro/core/x.py": """\
-            def run(steps=None, limit=4, name="x"):
-                steps = [] if steps is None else steps
-                return steps
-            """}, select={"SIM402"})
-        assert result.findings == []
-
-    def test_fires_in_tests_too(self, lint_tree):
-        result = lint_tree({"tests/test_x.py": """\
-            def helper(acc=[]):
-                return acc
-            """}, select={"SIM402"})
-        assert [f.code for f in result.findings] == ["SIM402"]
-
-
 class TestSIM403FloatEquality:
     def test_flags_fractional_equality(self, lint_tree):
         result = lint_tree({"src/repro/core/x.py": """\

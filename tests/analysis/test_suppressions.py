@@ -1,4 +1,6 @@
-"""Inline ``# simlint: disable=...`` suppression semantics."""
+"""Inline suppressions, ``select`` filtering and the pseudo codes."""
+
+import tokenize
 
 from repro.analysis import lint_paths
 
@@ -51,7 +53,7 @@ class TestInlineSuppression:
             import random
 
             def draw():
-                return random.random()  # simlint: disable=SIM301
+                return random.random()  # simlint: disable=SIM102
             """}, select={"SIM101"})
         assert [f.code for f in result.findings] == ["SIM101"]
         assert result.suppressed == 0
@@ -182,8 +184,7 @@ class TestCRLFSources:
             "def draw():",
             "    return random.random()  # simlint: disable=SIM101",
         ])
-        result = lint_paths(tops, root=tmp_path, select={"SIM101"},
-                            use_cache=False)
+        result = lint_paths(tops, root=tmp_path, select={"SIM101"})
         assert result.findings == []
         assert result.suppressed == 1
 
@@ -194,7 +195,75 @@ class TestCRLFSources:
             "def draw():",
             "    return random.random()",
         ])
-        result = lint_paths(tops, root=tmp_path, use_cache=False)
+        result = lint_paths(tops, root=tmp_path)
         codes = [f.code for f in result.findings]
         assert "SIM000" not in codes and "SIM002" not in codes
         assert "SIM101" in codes
+
+
+#: One per-file finding (SIM101) and one whole-program finding (SIM501)
+#: in the same file, plus a clean neighbour.
+TWO_FAMILIES = {
+    "src/repro/core/a.py": """\
+        import random
+
+        def roll():
+            return random.Random(42)
+
+        def draw():
+            return random.random()
+        """,
+    "src/repro/core/b.py": """\
+        def double(n):
+            return n * 2
+        """,
+}
+
+
+class TestSelectFiltering:
+    def test_select_filters_reported_findings(self, lint_tree):
+        # Every rule runs; select only narrows what is reported.
+        assert lint_tree(TWO_FAMILIES, select={"SIM104"}).findings == []
+        result = lint_tree(TWO_FAMILIES, select={"SIM501"})
+        assert [f.code for f in result.findings] == ["SIM501"]
+
+    def test_findings_sort_by_path_line_col_code(self, lint_tree):
+        files = dict(TWO_FAMILIES)
+        files["src/repro/service/x.py"] = """\
+            import time
+
+            async def throttle(delay):
+                time.sleep(delay)
+            """
+        result = lint_tree(files)
+        keys = [(f.path, f.line, f.col, f.code) for f in result.findings]
+        assert keys == sorted(keys)
+        assert {"SIM101", "SIM501", "SIM801"} <= {
+            f.code for f in result.findings}
+        # A second pass over the same tree reports the same findings.
+        assert lint_tree(files).findings == result.findings
+
+
+class TestSuppressionErrorPseudoCode:
+    def test_tokenize_failure_reports_sim002(self, lint_tree,
+                                             monkeypatch):
+        def boom(readline):
+            raise tokenize.TokenError("EOF in multi-line statement",
+                                      (1, 0))
+
+        monkeypatch.setattr(tokenize, "generate_tokens", boom)
+        result = lint_tree({"src/repro/core/x.py": """\
+            def fine():
+                return 1
+            """})
+        assert [f.code for f in result.findings] == ["SIM002"]
+        assert "TokenError" in result.findings[0].message
+
+    def test_sim002_bypasses_select(self, lint_tree, monkeypatch):
+        monkeypatch.setattr(
+            tokenize, "generate_tokens",
+            lambda readline: (_ for _ in ()).throw(
+                tokenize.TokenError("boom", (1, 0))))
+        result = lint_tree({"src/repro/core/x.py": "X = 1\n"},
+                           select={"SIM104"})
+        assert [f.code for f in result.findings] == ["SIM002"]
